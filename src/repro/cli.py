@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchs = sub.add_parser(
         "bench-scale",
         help="scale-out round-engine benchmark: Erdos-Renyi n=200/500/1000 "
-        "sweeps, serial vs sharded vs legacy path, with byte-identity "
+        "sweeps, serial vs sharded engine, with byte-identity "
         "checks at small n (writes BENCH_scale.json)",
     )
     benchs.add_argument(
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     benchs.add_argument(
         "--engines", default=None,
-        help="comma-separated engine subset of legacy,serial,sharded "
+        help="comma-separated engine subset of serial,sharded "
         "(default all; recorded in the output's filters block)",
     )
     benchs.add_argument("--out", default="BENCH_scale.json")

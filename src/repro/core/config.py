@@ -53,10 +53,6 @@ class ReboundConfig:
             whenever no quota fires -- i.e. in any run where every sender
             stays within what a correct node could legitimately originate
             per round.  Disabled only for ablations.
-        bitset_coverage: numpy-backed bitsets for Rule B delivered/coverage
-            sets and the heartbeat store (:mod:`repro.core.heartbeat`).
-            A pure simulator fast path -- byte-identical transcripts and
-            counts; silently falls back to plain sets without numpy.
         round_batched_verify: under MULTI, buffer a round's inbound
             messages and warm the verification cache with one batched
             multisignature pass over all admissible aggregates before
@@ -120,7 +116,6 @@ class ReboundConfig:
     protocol_enabled: bool = True
     verify_cache: bool = True
     quotas_enabled: bool = True
-    bitset_coverage: bool = True
     round_batched_verify: bool = True
     frame_ipc: bool = True
     durability_enabled: bool = False

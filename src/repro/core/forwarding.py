@@ -39,7 +39,7 @@ back to individual flooding while evidence is in flux.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import VARIANT_BASIC, VARIANT_MULTI, ReboundConfig
@@ -55,17 +55,11 @@ from repro.core.evidence import (
     lfd_body,
 )
 from repro.core.heartbeat import (
-    HAVE_NUMPY,
     AggregateHeartbeat,
     BasicHeartbeatStore,
-    BitsetHeartbeatStore,
     CoverageCalculator,
     HeartbeatRecord,
-    bitset_words,
 )
-
-if HAVE_NUMPY:
-    import numpy as _np
 from repro.core.identity import NodeCrypto
 from repro.core.paths import Path, PathSet
 from repro.core.quotas import AdmissionQuotas, pom_lfd_slack
@@ -197,12 +191,27 @@ class RoundOutput:
     evidence: Tuple[Any, ...]
     packets_by_next_hop: Dict[int, List[DataPacket]]
     controller_neighbors: List[int]
+    _flood: Optional[RoundMessage] = field(default=None, init=False, repr=False)
 
     def message_for(self, sender: int, destinations: List[int]) -> RoundMessage:
-        """Compose one wire message covering ``destinations``."""
+        """Compose one wire message covering ``destinations``.
+
+        Destinations without data packets all get one shared packet-free
+        message, built on first use, so it is encoded once per round."""
         packets: List[DataPacket] = []
         for dest in destinations:
-            packets.extend(self.packets_by_next_hop.get(dest, []))
+            packets.extend(self.packets_by_next_hop.get(dest, ()))
+        if not packets:
+            if self._flood is None:
+                self._flood = RoundMessage(
+                    sender=sender,
+                    round_no=self.round_no,
+                    records=self.records,
+                    aggregates=self.aggregates,
+                    evidence=self.evidence,
+                    packets=(),
+                )
+            return self._flood
         return RoundMessage(
             sender=sender,
             round_no=self.round_no,
@@ -213,22 +222,12 @@ class RoundOutput:
         )
 
 
-# Module-level defaultdict factories: lambdas here would make nodes
-# unpicklable, and the sharded engine recalls nodes by pickling.
-def _new_delivered_set_bucket() -> "defaultdict[int, Set[int]]":
-    return defaultdict(set)
-
-
-def _new_delivered_bucket() -> Dict[int, Any]:
-    return {}
-
-
 @dataclass
 class _AggregateState:
     """This node's in-progress aggregate for one origin round."""
 
     value: int
-    support: Set[int]
+    support: int  # signer set as a bitmask (bit j is node j)
     grew: bool = True  # support grew this round (transmit trigger)
     broken: bool = False  # diverged from the DP; stop aggregating
 
@@ -274,32 +273,16 @@ class ForwardingLayer:
 
         self.evidence = EvidenceSet(bounded=config.quotas_enabled)
         self.last_evidence_change = -(10**9)
-        # Bitset fast path: delivered/coverage sets and the heartbeat store
-        # keyed by controller bit position (transcript-identical; see
-        # ReboundConfig.bitset_coverage).
-        self._use_bitsets = bool(config.bitset_coverage and HAVE_NUMPY)
-        self._node_index: Dict[int, int] = {
-            nid: pos for pos, nid in enumerate(sorted(topology.controllers))
-        }
-        self._bit_words = bitset_words(len(self._node_index))
-        if self._use_bitsets:
-            self.store: BasicHeartbeatStore = BitsetHeartbeatStore(
-                window=self.window,
-                expiry=config.expiry_optimization,
-                node_index=self._node_index,
-            )
-        else:
-            self.store = BasicHeartbeatStore(
-                window=self.window, expiry=config.expiry_optimization
-            )
+        self.store = BasicHeartbeatStore(
+            window=self.window, expiry=config.expiry_optimization
+        )
         self.store.owner = node_id
+        self._controllers = frozenset(topology.controllers)
         # MULTI aggregate state per origin round.
         self._aggregates: Dict[int, _AggregateState] = {}
-        # Rule B bookkeeping: neighbor -> origin round -> delivered origins
-        # (a plain set of ids, or a packed bit array on the bitset path).
-        self._delivered: Dict[int, Dict[int, Any]] = defaultdict(
-            _new_delivered_bucket if self._use_bitsets else _new_delivered_set_bucket
-        )
+        # Rule B bookkeeping: neighbor -> origin round -> bitmask of the
+        # origins it delivered (bit j is controller j).
+        self._delivered: Dict[int, Dict[int, int]] = defaultdict(dict)
         self._got_message_from: Set[int] = set()
         # link -> round of the last LFD this layer issued for it.  Re-issue
         # is allowed after ``lfd_reissue_cooldown`` rounds so a genuine link
@@ -381,54 +364,19 @@ class ForwardingLayer:
             ]
             adjacency[c] = tuple(neigh)
         self._coverage = _coverage_for(adjacency, self.d_max)
-        if self._use_bitsets:
-            self._coverage.ensure_bit_index(self._node_index)
 
-    def _mark_delivered(self, sender: int, round_no: int, origin: int) -> None:
-        """Record that ``sender`` relayed ``origin``'s round-``round_no``
-        heartbeat (individually)."""
-        if not self._use_bitsets:
-            self._delivered[sender][round_no].add(origin)
-            return
-        pos = self._node_index.get(origin)
-        if pos is None:
-            return  # non-controller origin: never in any expected support
+    def _mark_delivered(self, sender: int, round_no: int, mask: int) -> None:
+        """Record that ``sender`` relayed the round-``round_no`` heartbeats
+        of every origin in ``mask``."""
         bucket = self._delivered[sender]
-        bits = bucket.get(round_no)
-        if bits is None:
-            bits = _np.zeros(self._bit_words, dtype=_np.uint64)
-            bucket[round_no] = bits
-        bits[pos >> 6] |= _np.uint64(1) << _np.uint64(pos & 63)
-
-    def _mark_delivered_support(self, sender: int, round_no: int, age: int) -> None:
-        """Fold a verified aggregate's whole support set into the
-        delivered map (the hot O(n) union of Rule B bookkeeping)."""
-        assert self._coverage is not None
-        if not self._use_bitsets:
-            self._delivered[sender][round_no].update(
-                self._coverage.support(sender, age)
-            )
-            return
-        support_bits = self._coverage.support_bits(sender, age)
-        bucket = self._delivered[sender]
-        bits = bucket.get(round_no)
-        if bits is None:
-            bucket[round_no] = support_bits.copy()
-        else:
-            _np.bitwise_or(bits, support_bits, out=bits)
+        bucket[round_no] = bucket.get(round_no, 0) | mask
 
     def _coverage_shortfall(self, j: int, r_origin: int) -> bool:
         """Rule B subset test: did neighbor ``j`` fail to deliver some
         origin it must have covered by age d_max?"""
         assert self._coverage is not None
-        if self._use_bitsets:
-            expected_bits = self._coverage.support_bits(j, self.d_max)
-            bits = self._delivered[j].get(r_origin)
-            if bits is None:
-                return bool(_np.any(expected_bits))
-            return bool(_np.any(expected_bits & ~bits))
-        expected = self._coverage.support(j, self.d_max)
-        return not expected <= self._delivered[j][r_origin]
+        expected = self._coverage.support_mask(j, self.d_max)
+        return bool(expected & ~self._delivered[j].get(r_origin, 0))
 
     @property
     def fault_pattern(self) -> FailureScenario:
@@ -672,9 +620,11 @@ class ForwardingLayer:
                 and rec.round_no < self._round - self.window
             ):
                 continue  # expired or from the future; ignore (S3.5)
+            # Only controllers are ever in an expected support set.
+            origin_bit = 1 << rec.origin if rec.origin in self._controllers else 0
             existing = self.store.get(rec.origin, rec.round_no)
             if existing is not None and existing.delta_count == rec.delta_count:
-                self._mark_delivered(sender, rec.round_no, rec.origin)
+                self._mark_delivered(sender, rec.round_no, origin_bit)
                 continue
             if not self._charge_quota(sender, "records"):
                 continue
@@ -682,7 +632,7 @@ class ForwardingLayer:
                 ok = False
                 continue
             status, conflict = self.store.add(rec)
-            self._mark_delivered(sender, rec.round_no, rec.origin)
+            self._mark_delivered(sender, rec.round_no, origin_bit)
             if status == "conflict" and conflict is not None:
                 pom = EquivocationPoM(
                     accused=rec.origin,
@@ -761,18 +711,21 @@ class ForwardingLayer:
     ) -> bool:
         if self.config.variant != VARIANT_MULTI:
             return len(aggregates) == 0
-        assert self._coverage is not None
+        coverage = self._coverage
+        assert coverage is not None
         # Two passes: collect every admissible aggregate, batch-verify them
         # in one combined group equation (verdicts identical to per-item
         # checks -- see crypto.multisig), then fold in the ones that pass.
         # Admissibility only reads state the loop never mutates (epoch
         # digest, coverage DP), so the split is behavior-preserving.
+        digest = self.epoch_digest
+        known_sender = coverage.has_node(sender)
         admissible: List[Tuple[AggregateHeartbeat, int]] = []
         for agg in aggregates:
             age = self._round - 1 - agg.round_no
             if age < 0 or age > self.d_max:
                 continue
-            if agg.epoch_digest != self.epoch_digest:
+            if agg.epoch_digest != digest:
                 # Different fault epoch; fallback records cover this.  An
                 # unexplained divergence -- our own evidence has been stable
                 # well past the slack window, so no recent fault accounts
@@ -781,7 +734,7 @@ class ForwardingLayer:
                 if self.last_evidence_change < self._round - self.stabilization_slack:
                     self._start_probe()
                 continue
-            if not self._coverage.has_node(sender):
+            if not known_sender:
                 continue
             if not self._charge_quota(sender, "aggregates"):
                 continue
@@ -793,8 +746,8 @@ class ForwardingLayer:
                 (
                     agg.body(),
                     agg.sig_value,
-                    self._coverage.multiset(sender, age),
-                    (self.epoch_digest, sender, age),
+                    coverage.multiset(sender, age),
+                    (digest, sender, age),
                 )
                 for agg, age in admissible
             ]
@@ -808,18 +761,17 @@ class ForwardingLayer:
                 # can expose the conflicting signatures.
                 self._start_probe()
                 continue
-            self._mark_delivered_support(sender, agg.round_no, age)
+            support = coverage.support_mask(sender, age)
+            self._mark_delivered(sender, agg.round_no, support)
             state = self._aggregates.get(agg.round_no)
             if state is None or state.broken:
                 continue
             # Combine every verified aggregate: the DP multiset recurrence
             # adds every transmitting neighbor's aggregate, even when the
             # support set does not grow (multiplicities still change).
-            support = self._coverage.support(sender, age)
-            new_support = state.support | support
             state.value = self.crypto.ms_combine(state.value, agg.sig_value)
-            if new_support != state.support:
-                state.support = new_support
+            if support & ~state.support:
+                state.support |= support
                 state.grew = True
         return True
 
@@ -1035,7 +987,7 @@ class ForwardingLayer:
         if self.config.variant == VARIANT_MULTI:
             self._aggregates[r] = _AggregateState(
                 value=int.from_bytes(own_sig, "big") if delta == 0 else 0,
-                support={self.node_id} if delta == 0 else set(),
+                support=1 << self.node_id if delta == 0 else 0,
                 grew=True,
                 broken=delta != 0,  # nonzero-delta bodies cannot join the aggregate
             )

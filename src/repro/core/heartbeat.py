@@ -30,36 +30,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.evidence import heartbeat_body
 from repro.net.message import encode, register_message
 from repro.obs import recorder as _flight
 from repro.obs.events import EV_HEARTBEAT_STORED
 
-try:  # numpy backs the bitset fast paths; plain sets remain the fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
-HAVE_NUMPY = _np is not None
-
-_ONE = _np.uint64(1) if HAVE_NUMPY else None
-
-
-def bitset_words(n: int) -> int:
-    """uint64 words needed for an ``n``-bit set (at least one)."""
-    return max(1, (n + 63) >> 6)
-
-
-def pack_node_bits(nodes: Iterable[int], index: Mapping[int, int], words: int):
-    """Pack node ids into a uint64 bit array via their index positions."""
-    bits = _np.zeros(words, dtype=_np.uint64)
-    for node in nodes:
-        pos = index.get(node)
-        if pos is not None:
-            bits[pos >> 6] |= _ONE << _np.uint64(pos & 63)
-    return bits
+def mask_members(mask: int) -> FrozenSet[int]:
+    """The node ids whose bits are set in ``mask`` (bit i is node i)."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @register_message
@@ -122,22 +103,17 @@ class CoverageCalculator:
     def __init__(self, adjacency: Mapping[int, Iterable[int]], max_age: int):
         self._adj = {n: sorted(neigh) for n, neigh in adjacency.items()}
         self.max_age = max_age
-        # multiset[a][i] and support[a][i]; transmitted[a][i] -> bool.
+        # multiset[a][i]; support[a][i] as an int bitmask (bit j is node j);
+        # transmitted[a][i] -> bool.
         self._multiset: List[Dict[int, Counter]] = []
-        self._support: List[Dict[int, FrozenSet[int]]] = []
+        self._support: List[Dict[int, int]] = []
         self._transmitted: List[Dict[int, bool]] = []
-        # Lazily packed support bitsets, valid for one node index at a time
-        # (calculators are shared process-wide; different systems carry
-        # different indexes and simply repack on first use).
-        self._bit_index: Optional[Mapping[int, int]] = None
-        self._bit_words = 0
-        self._support_bits: List[Dict[int, Any]] = []
         self._compute()
 
     def _compute(self) -> None:
         nodes = sorted(self._adj)
         m0 = {i: Counter({i: 1}) for i in nodes}
-        s0 = {i: frozenset({i}) for i in nodes}
+        s0 = {i: 1 << i for i in nodes}
         t0 = {i: True for i in nodes}  # every node transmits its own at age 0
         self._multiset.append(m0)
         self._support.append(s0)
@@ -147,19 +123,18 @@ class CoverageCalculator:
             prev_s = self._support[age - 1]
             prev_t = self._transmitted[age - 1]
             m: Dict[int, Counter] = {}
-            s: Dict[int, FrozenSet[int]] = {}
+            s: Dict[int, int] = {}
             t: Dict[int, bool] = {}
             for i in nodes:
                 acc = Counter(prev_m[i])
-                sup = set(prev_s[i])
+                sup = prev_s[i]
                 for j in self._adj[i]:
                     if prev_t.get(j):
                         acc.update(prev_m[j])
-                        sup.update(prev_s[j])
+                        sup |= prev_s[j]
                 m[i] = acc
-                new_sup = frozenset(sup)
-                s[i] = new_sup
-                t[i] = new_sup > prev_s[i]
+                s[i] = sup
+                t[i] = sup != prev_s[i]
             self._multiset.append(m)
             self._support.append(s)
             self._transmitted.append(t)
@@ -172,37 +147,14 @@ class CoverageCalculator:
         age = min(age, self.max_age)
         return self._multiset[age][node]
 
+    def support_mask(self, node: int, age: int) -> int:
+        """Expected signer set of ``node``'s aggregate at ``age``, as a
+        bitmask with bit j set for node j."""
+        return self._support[min(age, self.max_age)][node]
+
     def support(self, node: int, age: int) -> FrozenSet[int]:
         """Expected signer *set* of ``node``'s aggregate at ``age``."""
-        age = min(age, self.max_age)
-        return self._support[age][node]
-
-    def ensure_bit_index(self, index: Mapping[int, int]) -> None:
-        """Adopt ``index`` (node id -> bit position) for support bitsets,
-        discarding packs made under a different index."""
-        if self._bit_index is index:
-            return
-        if self._bit_index == index:
-            self._bit_index = index  # same mapping: keep packs, fast-path next call
-            return
-        self._bit_index = index
-        self._bit_words = bitset_words(len(index))
-        self._support_bits = [{} for _ in range(self.max_age + 1)]
-
-    def support_bits(self, node: int, age: int):
-        """``support(node, age)`` as a packed uint64 bit array (cached).
-
-        Requires a prior :meth:`ensure_bit_index`; the returned array is
-        shared -- callers must not mutate it in place."""
-        age = min(age, self.max_age)
-        cache = self._support_bits[age]
-        bits = cache.get(node)
-        if bits is None:
-            bits = pack_node_bits(
-                self._support[age][node], self._bit_index, self._bit_words
-            )
-            cache[node] = bits
-        return bits
+        return mask_members(self.support_mask(node, age))
 
     def transmitted(self, node: int, age: int) -> bool:
         """Whether a correct ``node`` transmits its aggregate at ``age``."""
@@ -221,7 +173,7 @@ class CoverageCalculator:
 
     def full_support(self, node: int) -> FrozenSet[int]:
         """The eventual support: every node reachable from ``node``."""
-        return self._support[self.max_age][node]
+        return self.support(node, self.max_age)
 
 
 class BasicHeartbeatStore:
@@ -229,7 +181,8 @@ class BasicHeartbeatStore:
 
     Tracks which records were *newly learned* in the current round (for
     delta flooding) and expires records older than D_max (second S3.5
-    refinement) when enabled.
+    refinement) when enabled.  Keys are also indexed by origin round, so
+    expiry drops whole rounds instead of scanning every key.
     """
 
     def __init__(self, window: int, expiry: bool = True):
@@ -239,6 +192,7 @@ class BasicHeartbeatStore:
         #: flight-recorder events are only attributable when it is known.
         self.owner: Optional[int] = None
         self._records: Dict[Tuple[int, int], HeartbeatRecord] = {}
+        self._round_keys: Dict[int, List[Tuple[int, int]]] = {}
         self._new_this_round: List[HeartbeatRecord] = []
 
     def add(self, record: HeartbeatRecord) -> Tuple[str, Optional[HeartbeatRecord]]:
@@ -258,6 +212,7 @@ class BasicHeartbeatStore:
             )
         else:
             self._records[key] = record
+            self._round_keys.setdefault(record.round_no, []).append(key)
             self._new_this_round.append(record)
             status = ("new", None)
         flight = _flight.active
@@ -290,10 +245,12 @@ class BasicHeartbeatStore:
         if not self.expiry:
             return 0
         cutoff = current_round - self.window
-        stale = [k for k in self._records if k[1] < cutoff]
-        for key in stale:
-            del self._records[key]
-        return len(stale)
+        dropped = 0
+        for round_no in [r for r in self._round_keys if r < cutoff]:
+            for key in self._round_keys.pop(round_no):
+                del self._records[key]
+                dropped += 1
+        return dropped
 
     def serialized_size(self) -> int:
         records = [self._records[k] for k in sorted(self._records)]
@@ -301,61 +258,3 @@ class BasicHeartbeatStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-class BitsetHeartbeatStore(BasicHeartbeatStore):
-    """A heartbeat store with numpy-backed per-round presence bitsets.
-
-    State-equivalent to :class:`BasicHeartbeatStore` (identical records,
-    add statuses, and expiry results); additionally keyed by origin round,
-    so expiry drops whole rounds instead of scanning every key (the scan
-    is O(n * window) per node per round at 1000 nodes), and presence is
-    available as a bit array for vectorized set operations.
-    """
-
-    def __init__(
-        self,
-        window: int,
-        expiry: bool = True,
-        node_index: Optional[Mapping[int, int]] = None,
-    ):
-        super().__init__(window, expiry)
-        self._node_index: Mapping[int, int] = node_index or {}
-        self._words = bitset_words(len(self._node_index))
-        self._presence: Dict[int, Any] = {}
-        self._round_keys: Dict[int, List[Tuple[int, int]]] = {}
-
-    def add(self, record: HeartbeatRecord) -> Tuple[str, Optional[HeartbeatRecord]]:
-        before = len(self._records)
-        status = super().add(record)
-        if len(self._records) != before:
-            self._round_keys.setdefault(record.round_no, []).append(
-                (record.origin, record.round_no)
-            )
-            pos = self._node_index.get(record.origin)
-            if pos is not None:
-                mask = self._presence.get(record.round_no)
-                if mask is None:
-                    mask = _np.zeros(self._words, dtype=_np.uint64)
-                    self._presence[record.round_no] = mask
-                mask[pos >> 6] |= _ONE << _np.uint64(pos & 63)
-        return status
-
-    def presence_bits(self, round_no: int):
-        """Bitset of origins whose record for ``round_no`` is held."""
-        mask = self._presence.get(round_no)
-        if mask is None:
-            return _np.zeros(self._words, dtype=_np.uint64)
-        return mask
-
-    def expire(self, current_round: int) -> int:
-        if not self.expiry:
-            return 0
-        cutoff = current_round - self.window
-        dropped = 0
-        for round_no in [r for r in self._round_keys if r < cutoff]:
-            for key in self._round_keys.pop(round_no):
-                if self._records.pop(key, None) is not None:
-                    dropped += 1
-            self._presence.pop(round_no, None)
-        return dropped

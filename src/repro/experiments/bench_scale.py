@@ -1,15 +1,13 @@
 """Scale-out round-engine benchmark: 200/500/1000-node heartbeat sweeps.
 
 Runs fault-free Erdos-Renyi deployments (the paper's S5.1 simulation
-setup) at n = 200/500/1000 for a fixed number of rounds under three
+setup) at n = 200/500/1000 for a fixed number of rounds under two
 engines in one process:
 
-* **legacy** -- the pre-scale-out serial path: dict/set coverage
-  bookkeeping and per-message signature verification
-  (``bitset_coverage=False, round_batched_verify=False``);
-* **serial** -- the optimized serial path: numpy bitset coverage/heartbeat
-  stores and round-batched multisignature verification;
-* **sharded** -- the optimized path on the
+* **serial** -- the plain serial path (int-bitmask coverage bookkeeping,
+  one shared flood message per node-round, round-batched multisignature
+  verification);
+* **sharded** -- the same path on the
   :class:`~repro.net.shard.ShardedRoundEngine` with N worker processes.
   Each sharded sweep runs twice: once on the wire-frame IPC plane
   (``frame_ipc=True``, the default) and once on the pickled-object
@@ -61,23 +59,21 @@ from repro.sched.workload import WorkloadGenerator
 
 SWEEP_SIZES = (200, 500, 1000)
 SMOKE_SIZES = (200,)
-ENGINES = ("legacy", "serial", "sharded")
+ENGINES = ("serial", "sharded")
 DEFAULT_ROUNDS = 10
 SMOKE_ROUNDS = 6
 DEFAULT_WORKERS = 4
 
 
 def _sweep_system(
-    n: int, seed: int, workers: int, legacy: bool, frame_ipc: bool = True
+    n: int, seed: int, workers: int, frame_ipc: bool = True
 ) -> ReboundSystem:
     topology = erdos_renyi_topology(n, seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
     )
     config = ReboundConfig(
-        fmax=0, fconc=0, variant="multi", rsa_bits=256,
-        bitset_coverage=not legacy, round_batched_verify=not legacy,
-        frame_ipc=frame_ipc,
+        fmax=0, fconc=0, variant="multi", rsa_bits=256, frame_ipc=frame_ipc,
     )
     return ReboundSystem(
         topology, workload, config, seed=seed, scale_workers=workers
@@ -155,24 +151,20 @@ def _sweep(
     engines: Sequence[str] = ENGINES,
 ) -> Dict[str, Any]:
     runs: Dict[str, Dict[str, Any]] = {}
-    if "legacy" in engines:
-        runs["legacy"] = _run(_sweep_system(n, seed, 0, legacy=True), rounds)
     if "serial" in engines:
-        runs["serial"] = _run(_sweep_system(n, seed, 0, legacy=False), rounds)
+        runs["serial"] = _run(_sweep_system(n, seed, 0), rounds)
     if "sharded" in engines:
         runs["sharded"] = _run(
-            _sweep_system(n, seed, workers, legacy=False, frame_ipc=True),
-            rounds,
+            _sweep_system(n, seed, workers, frame_ipc=True), rounds
         )
         runs["sharded_pickle"] = _run(
-            _sweep_system(n, seed, workers, legacy=False, frame_ipc=False),
-            rounds,
+            _sweep_system(n, seed, workers, frame_ipc=False), rounds
         )
         # The same sharded frame-IPC run with the flight recorder shipping
         # worker events home: its run_s / sharded_run_s is the honest cost
         # of always-on tracing across the process boundary.
         runs["sharded_rec"] = _traced_run(
-            lambda: _sweep_system(n, seed, workers, legacy=False, frame_ipc=True),
+            lambda: _sweep_system(n, seed, workers, frame_ipc=True),
             rounds,
         )
     identical: Optional[bool] = None
@@ -203,8 +195,6 @@ def _sweep(
         )
 
     out["serial_vs_sharded_speedup"] = _speedup("serial", "sharded")
-    out["legacy_vs_serial_speedup"] = _speedup("legacy", "serial")
-    out["legacy_vs_sharded_speedup"] = _speedup("legacy", "sharded")
     out["frame_vs_pickle_speedup"] = _speedup("sharded_pickle", "sharded")
     if "sharded_rec" in runs:
         rec_ipc = runs["sharded_rec"]["ipc"] or {}
@@ -300,7 +290,7 @@ def identity_cells(workers: int, rounds: int = 16) -> List[Dict[str, Any]]:
         cells.extend([
             _identity_cell(
                 "er20",
-                lambda w, f: _sweep_system(20, 0, w, legacy=False, frame_ipc=f),
+                lambda w, f: _sweep_system(20, 0, w, frame_ipc=f),
                 rounds, workers, frame_ipc,
             ),
             _identity_cell(
@@ -396,10 +386,9 @@ def main(
                 k: sweep[k]
                 for k in (
                     "n", "rounds", "workers",
-                    "legacy_run_s", "serial_run_s", "sharded_run_s",
+                    "serial_run_s", "sharded_run_s",
                     "sharded_pickle_run_s", "sharded_rec_run_s",
-                    "serial_vs_sharded_speedup", "legacy_vs_serial_speedup",
-                    "legacy_vs_sharded_speedup", "frame_vs_pickle_speedup",
+                    "serial_vs_sharded_speedup", "frame_vs_pickle_speedup",
                     "recorder_overhead_ratio",
                     "transcripts_identical",
                 )

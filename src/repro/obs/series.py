@@ -8,8 +8,8 @@ via ``system.fastpath_stats()``) plus a handful of derived system gauges
 caps, and the BTR monitor's detection -> evidence -> switch phase -- into
 a bounded columnar store.
 
-Storage is numpy ``float64`` columns when numpy is importable (same
-pattern as the bitset heartbeat stores) and plain lists otherwise; either
+Storage is numpy ``float64`` columns when numpy is importable and plain
+lists otherwise; either
 way the store is a ring bounded by ``capacity`` samples.  A series that
 appears mid-run is NaN-backfilled so every column always has one value
 per retained sample.

@@ -162,3 +162,22 @@ class TestBenchDiffCommand:
         self._write(cur, 1.3)
         assert main(["bench-diff", "--baseline", str(base),
                      "--current", str(cur), "--strict"]) == 0
+
+    def test_retired_legacy_keys_are_tolerated(self, tmp_path, capsys):
+        """Baselines written before the legacy engine was removed carry
+        legacy_* keys the current file lacks: listed, never a regression."""
+        import json
+
+        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
+        env = {"cpu_count": 1, "platform": "linux", "implementation": "CPython"}
+        base.write_text(json.dumps({"benchmark": "scale", "env": env, "sweeps": [
+            {"n": 200, "legacy_run_s": 9.0, "serial_run_s": 1.0,
+             "legacy_vs_serial_speedup": 9.0},
+        ]}))
+        cur.write_text(json.dumps({"benchmark": "scale", "env": env, "sweeps": [
+            {"n": 200, "serial_run_s": 1.0},
+        ]}))
+        assert main(["bench-diff", "--baseline", str(base),
+                     "--current", str(cur), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "legacy_run_s: removed" in out and "0 regression" in out
