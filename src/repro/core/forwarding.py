@@ -78,18 +78,18 @@ from repro.obs.events import (
 )
 from repro.sched.modegen import FailureScenario
 
-# Process-wide LRU cache of coverage calculators, keyed by the canonical
-# adjacency encoding.  The DP is a deterministic function of shared public
+# Process-wide LRU cache of coverage calculators, keyed by the sorted
+# adjacency itself.  The DP is a deterministic function of shared public
 # information (topology + fault pattern), so sharing it across simulated
 # nodes loses no fidelity.  Bounded so a long-lived process sweeping many
 # scenarios (the figure scripts) cannot grow it without limit.
 _COVERAGE_CACHE_CAPACITY = 256
-_coverage_cache: "OrderedDict[bytes, CoverageCalculator]" = OrderedDict()
+_coverage_cache: "OrderedDict[Tuple, CoverageCalculator]" = OrderedDict()
 _coverage_cache_stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _coverage_for(adjacency: Dict[int, Tuple[int, ...]], max_age: int) -> CoverageCalculator:
-    key = hash_bytes(encode((sorted(adjacency.items()), max_age)))
+    key = (tuple(sorted(adjacency.items())), max_age)
     calc = _coverage_cache.get(key)
     if calc is None:
         _coverage_cache_stats["misses"] += 1

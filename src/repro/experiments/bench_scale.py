@@ -8,12 +8,10 @@ engines in one process:
   one shared flood message per node-round, round-batched multisignature
   verification);
 * **sharded** -- the same path on the
-  :class:`~repro.net.shard.ShardedRoundEngine` with N worker processes.
-  Each sharded sweep runs twice: once on the wire-frame IPC plane
-  (``frame_ipc=True``, the default) and once on the pickled-object
-  fallback, so the JSON records the frame plane's byte and wall-clock
-  gains (``ipc.bytes_reduction``, ``frame_vs_pickle_speedup``) next to a
-  per-stage round **profile** (encode/ipc/step/replay/merge seconds from
+  :class:`~repro.net.shard.ShardedRoundEngine` with N worker processes,
+  shipping wire frames between them.  The JSON records the frame plane's
+  shipped bytes (``ipc``) next to a per-stage round **profile**
+  (encode/ipc/step/replay/merge seconds from
   :class:`~repro.obs.profiler.RoundProfiler`).
 
 Each sharded sweep also runs once more with a :class:`FlightRecorder`
@@ -25,8 +23,7 @@ sweep must produce the same per-round transcript (per-node evidence
 digests + modes) and the same logical crypto counters, and dedicated
 small-n identity cells (Erdos-Renyi n=20, the 20-node grid across a crash
 fault, and the grid under the chaos smoke impairment preset) re-verify
-the pin on every invocation -- once per IPC mode, so both the frame plane
-and the pickle fallback are exercised.  The identity cells run with
+the pin on every invocation.  The identity cells run with
 recorders installed on both engines and additionally pin the *trace*:
 the sharded run's merged worker+parent event stream, canonically sorted
 (round, node, seq) and rendered to JSONL, must be byte-equal to the
@@ -65,16 +62,12 @@ SMOKE_ROUNDS = 6
 DEFAULT_WORKERS = 4
 
 
-def _sweep_system(
-    n: int, seed: int, workers: int, frame_ipc: bool = True
-) -> ReboundSystem:
+def _sweep_system(n: int, seed: int, workers: int) -> ReboundSystem:
     topology = erdos_renyi_topology(n, seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
     )
-    config = ReboundConfig(
-        fmax=0, fconc=0, variant="multi", rsa_bits=256, frame_ipc=frame_ipc,
-    )
+    config = ReboundConfig(fmax=0, fconc=0, variant="multi", rsa_bits=256)
     return ReboundSystem(
         topology, workload, config, seed=seed, scale_workers=workers
     )
@@ -154,18 +147,12 @@ def _sweep(
     if "serial" in engines:
         runs["serial"] = _run(_sweep_system(n, seed, 0), rounds)
     if "sharded" in engines:
-        runs["sharded"] = _run(
-            _sweep_system(n, seed, workers, frame_ipc=True), rounds
-        )
-        runs["sharded_pickle"] = _run(
-            _sweep_system(n, seed, workers, frame_ipc=False), rounds
-        )
-        # The same sharded frame-IPC run with the flight recorder shipping
-        # worker events home: its run_s / sharded_run_s is the honest cost
-        # of always-on tracing across the process boundary.
+        runs["sharded"] = _run(_sweep_system(n, seed, workers), rounds)
+        # The same sharded run with the flight recorder shipping worker
+        # events home: its run_s / sharded_run_s is the honest cost of
+        # always-on tracing across the process boundary.
         runs["sharded_rec"] = _traced_run(
-            lambda: _sweep_system(n, seed, workers, frame_ipc=True),
-            rounds,
+            lambda: _sweep_system(n, seed, workers), rounds
         )
     identical: Optional[bool] = None
     if len(runs) >= 2:
@@ -195,7 +182,6 @@ def _sweep(
         )
 
     out["serial_vs_sharded_speedup"] = _speedup("serial", "sharded")
-    out["frame_vs_pickle_speedup"] = _speedup("sharded_pickle", "sharded")
     if "sharded_rec" in runs:
         rec_ipc = runs["sharded_rec"]["ipc"] or {}
         out["recorder_overhead_ratio"] = (
@@ -211,18 +197,10 @@ def _sweep(
         }
     if "sharded" in runs:
         frames_ipc = runs["sharded"]["ipc"]
-        pickle_ipc = runs["sharded_pickle"]["ipc"]
-        frames_bytes = _payload_bytes(frames_ipc)
-        pickle_bytes = _payload_bytes(pickle_ipc)
         out["profile"] = runs["sharded"]["profile"]
         out["ipc"] = {
             "frames": frames_ipc,
-            "pickle": pickle_ipc,
-            "frames_payload_bytes": frames_bytes,
-            "pickle_payload_bytes": pickle_bytes,
-            "bytes_reduction": (
-                pickle_bytes / frames_bytes if frames_bytes else None
-            ),
+            "frames_payload_bytes": _payload_bytes(frames_ipc),
         }
     return out
 
@@ -230,16 +208,12 @@ def _sweep(
 # -- small-n identity cells ------------------------------------------------------
 
 
-def _grid_system(
-    workers: int, network_factory=None, frame_ipc: bool = True
-) -> ReboundSystem:
+def _grid_system(workers: int, network_factory=None) -> ReboundSystem:
     topology = grid_topology(4, 5)
     workload = WorkloadGenerator(seed=0, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
     )
-    config = ReboundConfig(
-        fmax=1, fconc=1, variant="multi", rsa_bits=256, frame_ipc=frame_ipc
-    )
+    config = ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256)
     return ReboundSystem(
         topology, workload, config, seed=0,
         network_factory=network_factory, scale_workers=workers,
@@ -253,7 +227,6 @@ CHAOS_SMOKE_PLAN = ImpairmentPlan(
 
 
 def _identity_cell(name: str, build, rounds: int, workers: int,
-                   frame_ipc: bool,
                    crash_round: Optional[int] = None) -> Dict[str, Any]:
     """Serial vs sharded with a flight recorder installed on *both* runs:
     the pin covers the transcripts, the crypto counters, AND the merged
@@ -262,18 +235,17 @@ def _identity_cell(name: str, build, rounds: int, workers: int,
     produces (the tentpole guarantee; recorder-off transcript identity is
     pinned separately by tests/test_scale_engine.py)."""
     serial = _traced_run(
-        lambda: build(0, frame_ipc), rounds,
+        lambda: build(0), rounds,
         crash_round=crash_round, want_jsonl=True,
     )
     sharded = _traced_run(
-        lambda: build(workers, frame_ipc), rounds,
+        lambda: build(workers), rounds,
         crash_round=crash_round, want_jsonl=True,
     )
     return {
         "cell": name,
         "rounds": rounds,
         "workers": workers,
-        "frame_ipc": frame_ipc,
         "transcripts_identical": serial["transcript"] == sharded["transcript"],
         "counters_identical": serial["counters"] == sharded["counters"],
         "trace_events": sharded["trace_events"],
@@ -283,33 +255,24 @@ def _identity_cell(name: str, build, rounds: int, workers: int,
 
 
 def identity_cells(workers: int, rounds: int = 16) -> List[Dict[str, Any]]:
-    """Serial-vs-sharded byte-identity pins at small n, once per IPC mode
-    (wire frames and the pickle fallback both stay pinned)."""
-    cells = []
-    for frame_ipc in (True, False):
-        cells.extend([
-            _identity_cell(
-                "er20",
-                lambda w, f: _sweep_system(20, 0, w, frame_ipc=f),
-                rounds, workers, frame_ipc,
-            ),
-            _identity_cell(
-                "grid20-crash",
-                lambda w, f: _grid_system(w, frame_ipc=f),
-                rounds, workers, frame_ipc, crash_round=8,
-            ),
-            _identity_cell(
-                "grid20-chaos-smoke",
-                lambda w, f: _grid_system(
-                    w, network_factory=lambda t: ChaosRoundNetwork(
-                        t, CHAOS_SMOKE_PLAN
-                    ),
-                    frame_ipc=f,
+    """Serial-vs-sharded byte-identity pins at small n."""
+    return [
+        _identity_cell(
+            "er20", lambda w: _sweep_system(20, 0, w), rounds, workers,
+        ),
+        _identity_cell(
+            "grid20-crash", _grid_system, rounds, workers, crash_round=8,
+        ),
+        _identity_cell(
+            "grid20-chaos-smoke",
+            lambda w: _grid_system(
+                w, network_factory=lambda t: ChaosRoundNetwork(
+                    t, CHAOS_SMOKE_PLAN
                 ),
-                rounds, workers, frame_ipc,
             ),
-        ])
-    return cells
+            rounds, workers,
+        ),
+    ]
 
 
 # -- driver ----------------------------------------------------------------------
@@ -386,10 +349,8 @@ def main(
                 k: sweep[k]
                 for k in (
                     "n", "rounds", "workers",
-                    "serial_run_s", "sharded_run_s",
-                    "sharded_pickle_run_s", "sharded_rec_run_s",
-                    "serial_vs_sharded_speedup", "frame_vs_pickle_speedup",
-                    "recorder_overhead_ratio",
+                    "serial_run_s", "sharded_run_s", "sharded_rec_run_s",
+                    "serial_vs_sharded_speedup", "recorder_overhead_ratio",
                     "transcripts_identical",
                 )
                 if k in sweep
@@ -401,8 +362,6 @@ def main(
             print(
                 f"  ipc n={sweep['n']}: "
                 f"frames={ipc['frames_payload_bytes']}B "
-                f"pickle={ipc['pickle_payload_bytes']}B "
-                f"reduction={ipc['bytes_reduction']:.2f}x "
                 f"interned={ipc['frames']['interned_hits']}"
             )
         if "profile" in sweep:
@@ -426,7 +385,7 @@ def main(
     print(
         "identity: "
         + ", ".join(
-            f"{c['cell']}[{'frames' if c['frame_ipc'] else 'pickle'}]="
+            f"{c['cell']}="
             + ("OK" if c["transcripts_identical"] and c["counters_identical"]
                and c["traces_identical"]
                else "DIFF")

@@ -9,8 +9,8 @@ mode spans on tid 1, recovery-phase spans on tid 2).
 
 Presets:
 
-* ``smoke`` -- the bench-fastpath deployment (4x5 grid, seeded crash at
-  round 10): the CI-sized end-to-end check that trace-derived detection and
+* ``smoke`` -- a 4x5 grid deployment with a seeded crash at
+  round 10: the CI-sized end-to-end check that trace-derived detection and
   convergence match the runtime's own ``detected()`` / ``converged()``.
 * ``equivocation-gap`` -- the formerly open equivocation storm
   (Erdos-Renyi n=6, REBOUND-MULTI, fmax=2, heartbeat equivocation).  Now

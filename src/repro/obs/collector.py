@@ -23,9 +23,9 @@ means only one side emits for a node at a time, max-merge reproduces the
 serial numbering exactly.  ``tests/test_trace_collector.py`` and the
 bench-scale identity cells pin merged-JSONL == serial-JSONL byte equality.
 
-Transport is codec-tagged like the intent plane: ``("frames", buffer)``
-normally, ``("pickle", blob)`` when an event does not fit the columnar
-layout (synthetic node ids, oversized kinds).
+Transport is codec-tagged per batch: ``("frames", buffer)`` normally,
+``("pickle", blob)`` when an event does not fit the columnar layout
+(synthetic node ids, oversized kinds).
 """
 
 from __future__ import annotations
@@ -78,9 +78,7 @@ def canonical_jsonl(events: Sequence[TraceEvent]) -> str:
     )
 
 
-def pack_events(
-    events: Sequence[TraceEvent], frame_ipc: bool = True
-) -> Tuple[EventBatch, int, int]:
+def pack_events(events: Sequence[TraceEvent]) -> Tuple[EventBatch, int, int]:
     """Pack drained events for the wire.
 
     Returns ``((codec, payload), raw_bytes, interned_hits)``.  Events are
@@ -90,7 +88,7 @@ def pack_events(
     case for heartbeat/audit chatter -- intern to a single frame.
     """
     ordered = canonical_sorted(events)
-    if frame_ipc and all(_frameable(e) for e in ordered):
+    if all(_frameable(e) for e in ordered):
         writer = EventWriter()
         for event in ordered:
             blob = json.dumps(

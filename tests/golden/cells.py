@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.analysis.metrics import transcript_entry
 from repro.chaos.impairments import ChaosRoundNetwork, ImpairmentPlan
 from repro.core import ReboundConfig, ReboundSystem
-from repro.faults.adversary import EquivocateBehavior
+from repro.faults.adversary import CrashBehavior, EquivocateBehavior
 from repro.net.topology import erdos_renyi_topology
 from repro.sched.workload import WorkloadGenerator
 
@@ -67,11 +67,28 @@ def _equivocate(system: ReboundSystem, round_no: int) -> None:
         system.inject_now(host, EquivocateBehavior())
 
 
+def _er6(variant: str) -> Callable[[], ReboundSystem]:
+    def build() -> ReboundSystem:
+        config = ReboundConfig(fmax=2, fconc=1, variant=variant, rsa_bits=256)
+        return ReboundSystem(erdos_renyi_topology(6, seed=2), _workload(2), config, seed=2)
+
+    return build
+
+
+def _equivocate_then_crash(system: ReboundSystem, round_no: int) -> None:
+    if round_no == 8:
+        system.inject_now(0, EquivocateBehavior())
+    if round_no == 14:
+        system.inject_now(1, CrashBehavior())
+
+
 #: cell name -> (system builder, per-round fault script or None)
 CELLS: Dict[str, Any] = {
     "er60-multi": (_er60_multi, None),
     "er60-multi-equivocate": (_er60_multi, _equivocate),
     "er40-basic-dup-reorder": (_er40_basic_chaos, None),
+    "er6-basic-equivocate-crash": (_er6("basic"), _equivocate_then_crash),
+    "er6-multi-equivocate-crash": (_er6("multi"), _equivocate_then_crash),
 }
 
 

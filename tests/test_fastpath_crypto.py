@@ -2,7 +2,7 @@
 
 Covers: CRT/plain signature bit-identity, deterministic-keygen enforcement,
 signature wire-format validation, verification-cache transparency under
-fault/equivocation injection, cache bounds, codec-memo correctness, and
+random signature tampering, cache bounds, codec-memo correctness, and
 batched multisignature verification.
 """
 
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import fastpath_stats
-from repro.core import ReboundConfig, ReboundSystem
 from repro.core.forwarding import (
     _coverage_cache,
     _coverage_for,
@@ -22,10 +21,8 @@ from repro.core.forwarding import (
 from repro.crypto import verify_cache
 from repro.crypto.multisig import MultisigGroup, verify_multisig_values_batch
 from repro.crypto.rsa import RSAKeyPair, RSASignature
-from repro.faults.adversary import CrashBehavior, EquivocateBehavior
 from repro.net import message
-from repro.net.topology import erdos_renyi_topology, grid_topology
-from repro.sched.workload import WorkloadGenerator
+from repro.net.topology import grid_topology
 
 
 # -- CRT signing ---------------------------------------------------------------
@@ -101,66 +98,17 @@ def test_verification_cache_is_capacity_bounded():
     assert cache.get(("k", 0)) is None
 
 
-def _run_transcript(variant: str, use_cache: bool, seed: int = 2):
-    """Run a faulty deployment; return its per-round observable transcript."""
-    topology = erdos_renyi_topology(6, seed=seed)
-    workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
-        target_utilization=1.5
-    )
-    config = ReboundConfig(
-        fmax=2, fconc=1, variant=variant, rsa_bits=256, verify_cache=use_cache
-    )
-    system = ReboundSystem(topology, workload, config, seed=seed)
-    transcript = []
-    for r in range(1, 26):
-        if r == 8:
-            system.inject_now(0, EquivocateBehavior())
-        if r == 14:
-            system.inject_now(1, CrashBehavior())
-        system.run_round()
-        entry = []
-        for node_id in sorted(system.nodes):
-            node = system.nodes[node_id]
-            schedule = node.current_schedule
-            mode = (
-                (
-                    tuple(sorted(schedule.failed_nodes)),
-                    tuple(sorted(schedule.failed_links)),
-                )
-                if schedule
-                else None
-            )
-            entry.append(
-                (node_id, node.forwarding.evidence.digest(), mode)
-            )
-        transcript.append(tuple(entry))
-    counters = system.total_crypto_counters().as_dict()
-    return transcript, counters
-
-
-@pytest.mark.parametrize("variant", ["basic", "multi"])
-def test_cache_transparency_under_equivocation_and_crash(variant):
-    """Cache on vs off: byte-identical evidence sets, mode switches, and
-    operation counts, even with an equivocating and a crashing node."""
-    verify_cache.GLOBAL.clear()
-    on_transcript, on_counters = _run_transcript(variant, use_cache=True)
-    off_transcript, off_counters = _run_transcript(variant, use_cache=False)
-    assert on_transcript == off_transcript
-    assert on_counters == off_counters
-
-
 def test_cache_transparency_under_random_tampering():
     """Cache hits never change a verify outcome: random valid/corrupted
-    signatures, checked twice (miss then hit), agree with the uncached
-    verifier on every call."""
+    signatures, checked twice (miss then hit), agree with the raw RSA
+    primitive on every call."""
     rng = random.Random(7)
-    pair = RSAKeyPair(bits=256, seed=77)
     from repro.core.identity import Directory
 
     directory = Directory(rsa_bits=256, seed=77)
     directory.register(0)
-    cached = directory.crypto_for(0, use_cache=True)
-    uncached = directory.crypto_for(0, use_cache=False)
+    cached = directory.crypto_for(0)
+    public = directory.rsa_public(0)
     verify_cache.GLOBAL.clear()
     for trial in range(40):
         body = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
@@ -169,10 +117,12 @@ def test_cache_transparency_under_random_tampering():
             index = rng.randrange(len(wire))
             wire[index] ^= 1 + rng.randrange(255)
         wire = bytes(wire)
-        expected = uncached.verify(0, body, wire)
+        try:
+            expected = public.verify(body, RSASignature.from_bytes(wire))
+        except (ValueError, IndexError):
+            expected = False
         assert cached.verify(0, body, wire) == expected  # miss path
         assert cached.verify(0, body, wire) == expected  # hit path
-    assert pair is not None
 
 
 # -- coverage cache bound ------------------------------------------------------
@@ -209,22 +159,21 @@ def test_codec_memo_preserves_encodings():
         {"k": shared, True: "t", 1: "one"},
         frozenset({1, (2, 3)}),
     ]
-    message.configure_codec_memo(enabled=True)
-    with_memo = [message.encode(v) for v in values]
-    assert message.codec_memo_stats()["hits"] > 0
-    message.configure_codec_memo(enabled=False)
-    without_memo = [message.encode(v) for v in values]
-    message.configure_codec_memo(enabled=True)
-    assert with_memo == without_memo
-    for v, blob in zip(values, with_memo):
-        assert message.decode(blob) == v
+    for v in values:
+        message.configure_codec_memo()  # empty memo: the next encode is cold
+        cold = message.encode(v)
+        before = message.codec_memo_stats()["hits"]
+        hot = message.encode(v)
+        assert message.codec_memo_stats()["hits"] > before
+        assert hot == cold
+        assert message.decode(cold) == v
     # bool/int cousins stay distinct.
     assert message.encode(True) != message.encode(1)
     assert message.encode((True,)) != message.encode((1,))
 
 
 def test_codec_memo_never_caches_mutable_content():
-    message.configure_codec_memo(enabled=True)
+    message.configure_codec_memo()
     inner = [1, 2]
     holder = (0, inner)
     first = message.encode(holder)
@@ -235,7 +184,7 @@ def test_codec_memo_never_caches_mutable_content():
 
 
 def test_codec_memo_is_bounded():
-    message.configure_codec_memo(enabled=True, capacity=16)
+    message.configure_codec_memo(capacity=16)
     try:
         for i in range(200):
             message.encode((i, i + 1))
@@ -243,7 +192,7 @@ def test_codec_memo_is_bounded():
         assert stats["entries"] <= 16
         assert stats["evictions"] > 0
     finally:
-        message.configure_codec_memo(enabled=True, capacity=4096)
+        message.configure_codec_memo(capacity=4096)
 
 
 # -- batched multisignature verification ---------------------------------------

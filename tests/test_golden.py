@@ -1,9 +1,10 @@
 """Golden identity: small deployments reproduce committed digests exactly.
 
-``tests/golden/digests.json`` pins, for three cells (ER n=60 MULTI
-fault-free, the same with an equivocator from round 10, and ER n=40 BASIC
-under duplicate+reorder chaos), the per-round transcript digest, the byte
-total of every channel and the logical crypto counters.  Key generation
+``tests/golden/digests.json`` pins, for five cells (ER n=60 MULTI
+fault-free, the same with an equivocator from round 10, ER n=40 BASIC
+under duplicate+reorder chaos, and ER n=6 BASIC and MULTI with an
+equivocator at round 8 and a crash at round 14), the per-round transcript
+digest, the byte total of every channel and the logical crypto counters.  Key generation
 seeds from the salted ``hash()``, so every cell runs in a subprocess with
 ``PYTHONHASHSEED`` pinned (see ``tests/golden/cells.py``).
 """
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from collections import defaultdict
 
+from repro.crypto import verify_cache
 from tests.golden.cells import GOLDEN_PATH, HASH_SEED, run_cell
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +75,18 @@ def flood_probe():
     }
 
 
+def verify_cache_probe():
+    """Run the fault-free MULTI cell from an empty verification cache and
+    return the cache's stats at the end."""
+
+    def hook(_system):
+        verify_cache.GLOBAL.clear()
+        verify_cache.GLOBAL.reset_stats()
+
+    run_cell("er60-multi", on_system=hook)
+    return verify_cache.stats()
+
+
 def test_cells_match_golden_digests():
     current = _run_pinned("-m", "tests.golden.cells")
     golden = _golden()
@@ -95,3 +109,14 @@ def test_one_flood_message_per_node_round():
     assert probe["packet_messages"] > 0
     assert probe["misrouted"] == 0
     assert probe["channel_bytes"] == _golden()["er60-multi"]["channel_bytes"]
+
+
+def test_verify_cache_hits_within_bound():
+    stats = _run_pinned(
+        "-c",
+        "import json; from tests.test_golden import verify_cache_probe; "
+        "print(json.dumps(verify_cache_probe()))",
+    )
+    # The cache did real work on the flood and stayed within its bound.
+    assert stats["hits"] > stats["misses"]
+    assert stats["entries"] <= stats["capacity"]

@@ -35,8 +35,8 @@ class TestDefaultComponents:
             assert isinstance(snapshot, dict), name
             component.reset()  # must not raise
             # After a reset, every numeric *counter* reads zero.  Bools are
-            # configuration flags (verify_cache.enabled); capacity/entries
-            # describe the cache itself, which a stats reset keeps.
+            # configuration flags; capacity/entries describe the cache
+            # itself, which a stats reset keeps.
             for key, value in component.stats().items():
                 if key in ("capacity", "entries") or isinstance(value, bool):
                     continue
